@@ -122,7 +122,7 @@ func BenchmarkSolveOffline(b *testing.B) {
 // BenchmarkE7OnlineVsOffline regenerates the Theorem 1.4.2 measurement.
 func BenchmarkE7OnlineVsOffline(b *testing.B) {
 	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.E7Online(8, 80, 2008, 1, 0)
+		return experiments.E7Online(8, 80, 2008, 1)
 	})
 }
 
@@ -130,7 +130,7 @@ func BenchmarkE7OnlineVsOffline(b *testing.B) {
 // measurement.
 func BenchmarkE8DiffusionCost(b *testing.B) {
 	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.E8Diffusion([]int{2, 4, 6, 8}, 2008, 0)
+		return experiments.E8Diffusion([]int{2, 4, 6, 8}, 2008)
 	})
 }
 
@@ -152,7 +152,7 @@ func BenchmarkE10Transfers(b *testing.B) {
 // ablation table.
 func BenchmarkE11Ablations(b *testing.B) {
 	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.E11Ablations(8, 80, 2008, 1, 0)
+		return experiments.E11Ablations(8, 80, 2008, 1)
 	})
 }
 
@@ -168,7 +168,7 @@ func BenchmarkE12DimensionSweep(b *testing.B) {
 // (Section 3.2.5 scenario 2).
 func BenchmarkE13Robustness(b *testing.B) {
 	benchTable(b, func() (*experiments.Table, error) {
-		return experiments.E13Robustness([]float64{0, 0.5, 1}, 2008, 1, 0)
+		return experiments.E13Robustness([]float64{0, 0.5, 1}, 2008, 1)
 	})
 }
 

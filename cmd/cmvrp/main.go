@@ -5,13 +5,10 @@
 //
 // Usage:
 //
-//	cmvrp -spec demand.json [-online] [-show] [-trace] [-seed 1] [-search gossip] [-fanout 3] [-shards S]
+//	cmvrp -spec demand.json [-online] [-show] [-trace] [-seed 1] [-search gossip] [-fanout 3]
 //
 // -show renders ASCII heat maps of the demand and schedule (2-D arenas);
-// -trace streams the online simulation's event log. -shards selects the
-// simulator scheduler for -online/-trace runs: 0 (default) is the legacy
-// scheduler, S >= 1 the sealed-round sharded scheduler whose output is
-// identical for every S.
+// -trace streams the online simulation's event log.
 //
 // The spec format:
 //
@@ -50,12 +47,8 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 1, "determinism seed for the online simulation")
 	search := fs.String("search", "diffuse", "Phase I dissemination protocol: diffuse or gossip")
 	fanout := fs.Int("fanout", 0, "gossip fanout bound (0 = full flood; requires -search gossip)")
-	shards := fs.Int("shards", 0, "simulator shards: 0 = legacy scheduler, >= 1 = sealed-round scheduler")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards %d must be >= 0", *shards)
 	}
 	var protocol online.SearchProtocol
 	switch *search {
@@ -140,7 +133,7 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "\nonline event trace at W = %.4g:\n", w)
 			r, err := online.NewRunner(online.Options{
 				Arena: arena, CubeSide: char.Side, Partition: part,
-				Capacity: w, Seed: *seed, SimShards: *shards,
+				Capacity: w, Seed: *seed,
 				Search: protocol, GossipFanout: *fanout,
 				Tracer: &online.WriterTracer{W: out},
 			})
@@ -159,7 +152,7 @@ func run(args []string, out io.Writer) error {
 		// independent for a given seed.
 		won, err := online.MinCapacityParallel(seq, online.Options{
 			Arena: arena, CubeSide: char.Side, Partition: part,
-			Seed: *seed, SearchWorkers: 4, SimShards: *shards,
+			Seed: *seed, SearchWorkers: 4,
 			Search: protocol, GossipFanout: *fanout,
 		}, 1, 0.05)
 		if err != nil {

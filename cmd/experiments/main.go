@@ -4,17 +4,12 @@
 //
 // Usage:
 //
-//	experiments [-quick] [-run E7] [-workers N] [-shards S]
+//	experiments [-quick] [-run E7] [-workers N]
 //
 // -quick shrinks instance sizes for a fast smoke run; -run selects a single
 // experiment by id; -workers sets the sweep fan-out width (every table is
 // byte-identical for every width — the default is pinned rather than
 // runtime.NumCPU() so runs on different hosts do the same thing by default).
-// -shards selects the simulator scheduler for the simulator-backed
-// experiments: 0 (the default) is the legacy scheduler that produced the
-// recorded EXPERIMENTS.md tables; S >= 1 is the sealed-round sharded
-// scheduler, whose tables are byte-identical for every S — CI diffs
-// -shards 1/2/4/8 outputs against each other as the determinism gate.
 package main
 
 import (
@@ -45,21 +40,16 @@ func run(args []string, out io.Writer) error {
 	only := fs.String("run", "", "run a single experiment id (e.g. E7)")
 	workers := fs.Int("workers", defaultSweepWorkers,
 		"sweep fan-out width (tables are byte-identical for every value)")
-	shards := fs.Int("shards", 0,
-		"simulator shards: 0 = legacy scheduler, >= 1 = sealed-round scheduler (tables are byte-identical for every value >= 1)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *workers < 1 {
 		return fmt.Errorf("-workers %d must be >= 1", *workers)
 	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards %d must be >= 0", *shards)
-	}
 	want := strings.ToUpper(strings.TrimSpace(*only))
 	// Only the selected experiment is computed (-run E7 does not pay for the
 	// other twelve).
-	tables, err := experiments.Some(want, *quick, *workers, *shards)
+	tables, err := experiments.Some(want, *quick, *workers)
 	if err != nil {
 		return err
 	}

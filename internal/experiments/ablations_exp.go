@@ -20,7 +20,7 @@ import (
 //     sweep? (The answer is bounded by the doubling ratio.)
 //  2. the monitoring ring — the Section 3.2.5 heartbeats cost messages even
 //     when nothing fails; how many?
-func E11Ablations(n int, jobs int64, seed int64, workers, shards int) (*Table, error) {
+func E11Ablations(n int, jobs int64, seed int64, workers int) (*Table, error) {
 	t := &Table{
 		ID:    "E11",
 		Title: fmt.Sprintf("ablations (n=%d, %d jobs)", n, jobs),
@@ -76,7 +76,7 @@ func E11Ablations(n int, jobs int64, seed int64, workers, shards int) (*Table, e
 			for i, monitoring := range []bool{false, true} {
 				res, err := w.Episode(online.Options{
 					Arena: arena, CubeSide: char.Side, Capacity: wcap,
-					Seed: seed, Monitoring: monitoring, SimShards: shards,
+					Seed: seed, Monitoring: monitoring,
 				}, seq)
 				if err != nil {
 					return row{}, err
@@ -102,7 +102,7 @@ func E11Ablations(n int, jobs int64, seed int64, workers, shards int) (*Table, e
 // fraction of vehicles silently fails to initiate replacement searches upon
 // exhaustion, and the served fraction is measured with the monitoring ring
 // on and off. The thesis' claim: monitoring makes scenario 2 harmless.
-func E13Robustness(fractions []float64, seed int64, workers, shards int) (*Table, error) {
+func E13Robustness(fractions []float64, seed int64, workers int) (*Table, error) {
 	t := &Table{
 		ID:    "E13",
 		Title: "failure robustness (Section 3.2.5 scenario 2)",
@@ -144,7 +144,6 @@ func E13Robustness(fractions []float64, seed int64, workers, shards int) (*Table
 				res, err := w.Episode(online.Options{
 					Arena: arena, CubeSide: n, Capacity: capacity,
 					Seed: seed, Monitoring: monitoring, FailInitiate: fail,
-					SimShards: shards,
 				}, seq)
 				if err != nil {
 					return row{}, err

@@ -123,7 +123,7 @@ func TestE6RoughlyLinear(t *testing.T) {
 }
 
 func TestE7WonWithinTheoremBound(t *testing.T) {
-	tbl, err := E7Online(8, 80, 13, 1, 0)
+	tbl, err := E7Online(8, 80, 13, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestE7WonWithinTheoremBound(t *testing.T) {
 }
 
 func TestE8MessagesScaleWithCube(t *testing.T) {
-	tbl, err := E8Diffusion([]int{2, 6}, 17, 0)
+	tbl, err := E8Diffusion([]int{2, 6}, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestE10ConvoyGainGrowsWithN(t *testing.T) {
 }
 
 func TestAllQuickRunsEverything(t *testing.T) {
-	tables, err := All(true, 4, 0)
+	tables, err := All(true, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestAllQuickRunsEverything(t *testing.T) {
 }
 
 func TestE13MonitoringServesEverything(t *testing.T) {
-	tbl, err := E13Robustness([]float64{0, 1}, 5, 1, 0)
+	tbl, err := E13Robustness([]float64{0, 1}, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestE13MonitoringServesEverything(t *testing.T) {
 }
 
 func TestE11DoublingWithinFactorTwo(t *testing.T) {
-	tbl, err := E11Ablations(8, 80, 3, 1, 0)
+	tbl, err := E11Ablations(8, 80, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +285,11 @@ func TestSweepExperimentsDeterministicAcrossWorkerCounts(t *testing.T) {
 	builders := map[string]func(workers int) (*Table, error){
 		"E4":  func(w int) (*Table, error) { return E4Duality(10, 7, w) },
 		"E5":  func(w int) (*Table, error) { return E5ApproxQuality(16, 200, 11, w) },
-		"E7":  func(w int) (*Table, error) { return E7Online(8, 80, 13, w, 0) },
-		"E11": func(w int) (*Table, error) { return E11Ablations(8, 80, 3, w, 0) },
-		"E13": func(w int) (*Table, error) { return E13Robustness([]float64{0, 0.5, 1}, 5, w, 0) },
-		"E14": func(w int) (*Table, error) { return E14FailureModels([]float64{0, 0.25, 0.5}, 5, w, 0) },
-		"E15": func(w int) (*Table, error) { return E15GossipFidelity([]int{-1, 0, 1, 2, 3}, 5, w, 0) },
+		"E7":  func(w int) (*Table, error) { return E7Online(8, 80, 13, w) },
+		"E11": func(w int) (*Table, error) { return E11Ablations(8, 80, 3, w) },
+		"E13": func(w int) (*Table, error) { return E13Robustness([]float64{0, 0.5, 1}, 5, w) },
+		"E14": func(w int) (*Table, error) { return E14FailureModels([]float64{0, 0.25, 0.5}, 5, w) },
+		"E15": func(w int) (*Table, error) { return E15GossipFidelity([]int{-1, 0, 1, 2, 3}, 5, w) },
 	}
 	for id, build := range builders {
 		t.Run(id, func(t *testing.T) {
@@ -311,47 +311,12 @@ func TestSweepExperimentsDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSimExperimentsDeterministicAcrossShardCounts is the sealed-round
-// analogue of the worker-count pin: every simulator-backed experiment
-// renders a byte-identical table at SimShards 1, 2, 4, and 8 (the CI
-// determinism gate runs the same comparison on the full -quick output).
-// Legacy (shards=0) is a different schedule family and is NOT expected to
-// match; EXPERIMENTS.md stays pinned to it via the default -shards 0.
-func TestSimExperimentsDeterministicAcrossShardCounts(t *testing.T) {
-	builders := map[string]func(shards int) (*Table, error){
-		"E7":  func(s int) (*Table, error) { return E7Online(8, 80, 13, 1, s) },
-		"E8":  func(s int) (*Table, error) { return E8Diffusion([]int{2, 6}, 17, s) },
-		"E11": func(s int) (*Table, error) { return E11Ablations(8, 80, 3, 1, s) },
-		"E13": func(s int) (*Table, error) { return E13Robustness([]float64{0, 0.5, 1}, 5, 1, s) },
-		"E14": func(s int) (*Table, error) { return E14FailureModels([]float64{0, 0.5}, 5, 1, s) },
-		"E15": func(s int) (*Table, error) { return E15GossipFidelity([]int{-1, 0, 2}, 5, 1, s) },
-	}
-	for id, build := range builders {
-		t.Run(id, func(t *testing.T) {
-			ref, err := build(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range []int{2, 4, 8} {
-				got, err := build(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ref.Markdown() != got.Markdown() {
-					t.Errorf("%s drifted between shards=1 and shards=%d:\n--- s=1\n%s\n--- s=%d\n%s",
-						id, s, ref.Markdown(), s, got.Markdown())
-				}
-			}
-		})
-	}
-}
-
 // TestE14ByzantineNeedsEvidence pins the E14 story at the table level: with
 // half the cells dying, the crash-silent row is rescued by beacon timeouts
 // while the crash-then-lie row is rescued exclusively through the evidence
 // channel.
 func TestE14ByzantineNeedsEvidence(t *testing.T) {
-	tbl, err := E14FailureModels([]float64{0.5}, 2008, 1, 0)
+	tbl, err := E14FailureModels([]float64{0.5}, 2008, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +337,7 @@ func TestE14ByzantineNeedsEvidence(t *testing.T) {
 // table level: the fanout-0 gossip row equals the diffuse baseline row in
 // every measured column.
 func TestE15FullFloodMatchesDiffuse(t *testing.T) {
-	tbl, err := E15GossipFidelity([]int{-1, 0}, 2008, 1, 0)
+	tbl, err := E15GossipFidelity([]int{-1, 0}, 2008, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

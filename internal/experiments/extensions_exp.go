@@ -98,21 +98,16 @@ func E10Transfers(lineLens []int, d int64) (*Table, error) {
 // instance sizes (used by tests; the full set runs in cmd/experiments).
 // workers is the sweep width threaded through the sweep-built experiments
 // (E4, E5, E7, E11, E13): every table is byte-identical for every width, so
-// it only changes wall-clock (cmd/experiments pins a default). shards is
-// online.Options.SimShards for every simulator-backed experiment (E7, E8,
-// E11, E13, E14, E15): 0 keeps the legacy scheduler that produced the
-// recorded EXPERIMENTS.md tables; any value >= 1 selects the sealed-round
-// scheduler, whose tables are byte-identical for every shard count — the CI
-// determinism gate diffs -shards 1/2/4/8 against each other.
-func All(quick bool, workers, shards int) ([]*Table, error) {
-	return Some("", quick, workers, shards)
+// it only changes wall-clock (cmd/experiments pins a default).
+func All(quick bool, workers int) ([]*Table, error) {
+	return Some("", quick, workers)
 }
 
 // Some is All restricted to one experiment id ("" runs everything): only the
 // selected experiment is computed, so cmd/experiments -run and the CI
 // single-experiment smoke steps don't pay for the other twelve. Returns an
 // empty slice for an unknown id.
-func Some(id string, quick bool, workers, shards int) ([]*Table, error) {
+func Some(id string, quick bool, workers int) ([]*Table, error) {
 	var (
 		squareSides = []int{4, 16, 64, 256}
 		lineDs      = []int64{8, 32, 128, 512}
@@ -154,15 +149,15 @@ func Some(id string, quick bool, workers, shards int) ([]*Table, error) {
 		{"E4", func() (*Table, error) { return E4Duality(e4Trials, seed, workers) }},
 		{"E5", func() (*Table, error) { return E5ApproxQuality(e5N, e5Jobs, seed, workers) }},
 		{"E6", func() (*Table, error) { return E6Runtime(e6Sizes, seed) }},
-		{"E7", func() (*Table, error) { return E7Online(e7N, e7Jobs, seed, workers, shards) }},
-		{"E8", func() (*Table, error) { return E8Diffusion(e8Sides, seed, shards) }},
+		{"E7", func() (*Table, error) { return E7Online(e7N, e7Jobs, seed, workers) }},
+		{"E8", func() (*Table, error) { return E8Diffusion(e8Sides, seed) }},
 		{"E9", func() (*Table, error) { return E9Broken(e9R1s) }},
 		{"E10", func() (*Table, error) { return E10Transfers(e10Lens, e10D) }},
-		{"E11", func() (*Table, error) { return E11Ablations(e7N, e7Jobs, seed, workers, shards) }},
+		{"E11", func() (*Table, error) { return E11Ablations(e7N, e7Jobs, seed, workers) }},
 		{"E12", func() (*Table, error) { return E12DimensionSweep(4000) }},
-		{"E13", func() (*Table, error) { return E13Robustness([]float64{0, 0.25, 0.5, 1}, seed, workers, shards) }},
-		{"E14", func() (*Table, error) { return E14FailureModels(e14Fracs, seed, workers, shards) }},
-		{"E15", func() (*Table, error) { return E15GossipFidelity(e15Fanouts, seed, workers, shards) }},
+		{"E13", func() (*Table, error) { return E13Robustness([]float64{0, 0.25, 0.5, 1}, seed, workers) }},
+		{"E14", func() (*Table, error) { return E14FailureModels(e14Fracs, seed, workers) }},
+		{"E15", func() (*Table, error) { return E15GossipFidelity(e15Fanouts, seed, workers) }},
 	} {
 		if id != "" && exp.id != id {
 			continue

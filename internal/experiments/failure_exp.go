@@ -42,11 +42,11 @@ type failureModelCase struct {
 	opts func(deaths map[grid.Point]int) online.Options
 }
 
-func failureModelCases(arena *grid.Grid, seed int64, shards int) []failureModelCase {
+func failureModelCases(arena *grid.Grid, seed int64) []failureModelCase {
 	base := func(deaths map[grid.Point]int) online.Options {
 		return online.Options{
 			Arena: arena, CubeSide: arena.Size(0), Capacity: 14,
-			Seed: seed, Monitoring: true, SimShards: shards,
+			Seed: seed, Monitoring: true,
 			Failure: &online.FailureModel{DeadBeforeArrival: deaths},
 		}
 	}
@@ -87,7 +87,7 @@ func failureModelCases(arena *grid.Grid, seed int64, shards int) []failureModelC
 // the table makes: silent crashes are rescued proactively (near-zero
 // replacement latency), while a lying casualty is unmasked only after it
 // costs a job.
-func E14FailureModels(fractions []float64, seed int64, workers, shards int) (*Table, error) {
+func E14FailureModels(fractions []float64, seed int64, workers int) (*Table, error) {
 	t := &Table{
 		ID:    "E14",
 		Title: "failure-model comparison (crash vs byzantine vs heterogeneous vs gossip)",
@@ -101,7 +101,7 @@ func E14FailureModels(fractions []float64, seed int64, workers, shards int) (*Ta
 	}
 	type row [4]cell
 	arena := grid.MustNew(6, 6)
-	cases := failureModelCases(arena, seed, shards)
+	cases := failureModelCases(arena, seed)
 	rows, err := sweep.Map(sweep.Config{Workers: workers}, fractions,
 		func(w *sweep.Worker, frac float64, _ int) (row, error) {
 			if frac < 0 || frac > 1 {
@@ -143,7 +143,7 @@ func E14FailureModels(fractions []float64, seed int64, workers, shards int) (*Ta
 // baseline (fanout -1 in the table). Full flood (fanout 0) must reproduce
 // the baseline row exactly — the degradation guarantee — while small fanouts
 // trade discovery fidelity (failed searches, lost jobs) for message savings.
-func E15GossipFidelity(fanouts []int, seed int64, workers, shards int) (*Table, error) {
+func E15GossipFidelity(fanouts []int, seed int64, workers int) (*Table, error) {
 	t := &Table{
 		ID:    "E15",
 		Title: "gossip fidelity/traffic knob (fanout sweep vs diffuse baseline)",
@@ -160,7 +160,7 @@ func E15GossipFidelity(fanouts []int, seed int64, workers, shards int) (*Table, 
 		func(w *sweep.Worker, fanout int, _ int) (row, error) {
 			opts := online.Options{
 				Arena: arena, CubeSide: arena.Size(0), Capacity: 14,
-				Seed: seed, Monitoring: true, SimShards: shards,
+				Seed: seed, Monitoring: true,
 				Failure: &online.FailureModel{DeadBeforeArrival: deaths},
 			}
 			if fanout >= 0 {

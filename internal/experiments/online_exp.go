@@ -19,8 +19,7 @@ const e7SearchWorkers = 4
 // E7Online measures the empirical Won (smallest capacity at which the
 // Chapter 3 strategy serves everything) against omega_c and the Theorem
 // 1.4.2 guarantee (4*3^l+l)*omega_c, plus the greedy dispatcher baseline.
-// shards selects the simulator scheduler (online.Options.SimShards).
-func E7Online(n int, jobs int64, seed int64, workers, shards int) (*Table, error) {
+func E7Online(n int, jobs int64, seed int64, workers int) (*Table, error) {
 	t := &Table{
 		ID:    "E7",
 		Title: fmt.Sprintf("online vs offline capacity (n=%d, %d jobs)", n, jobs),
@@ -61,7 +60,7 @@ func E7Online(n int, jobs int64, seed int64, workers, shards int) (*Table, error
 			}
 			won, err := online.MinCapacityParallel(seq, online.Options{
 				Arena: arena, CubeSide: char.Side, Partition: part, Seed: seed,
-				SearchWorkers: e7SearchWorkers, SimShards: shards,
+				SearchWorkers: e7SearchWorkers,
 			}, 1, 0.05)
 			if err != nil {
 				return row{}, err
@@ -86,7 +85,7 @@ func E7Online(n int, jobs int64, seed int64, workers, shards int) (*Table, error
 // cube side grows: a single hot point forces a stream of replacements, and
 // the per-replacement message count scales with the cube's communication
 // graph, not with total jobs (Section 3.2.3's locality).
-func E8Diffusion(cubeSides []int, seed int64, shards int) (*Table, error) {
+func E8Diffusion(cubeSides []int, seed int64) (*Table, error) {
 	t := &Table{
 		ID:    "E8",
 		Title: "diffusing computation cost per replacement (Algorithm 2)",
@@ -99,7 +98,6 @@ func E8Diffusion(cubeSides []int, seed int64, shards int) (*Table, error) {
 		capacity := float64(4*s + 4)
 		r, err := online.NewRunner(online.Options{
 			Arena: arena, CubeSide: s, Capacity: capacity, Seed: seed,
-			SimShards: shards,
 		})
 		if err != nil {
 			return nil, err

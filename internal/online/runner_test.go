@@ -4,11 +4,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/demand"
 	"repro/internal/grid"
 	"repro/internal/offline"
+	"repro/internal/sim"
 )
 
 func mustRunner(t *testing.T, opts Options) *Runner {
@@ -374,6 +376,79 @@ func TestRunnerSingleUse(t *testing.T) {
 	}
 	if !res.OK() || res.Served != 1 {
 		t.Fatalf("post-reset run: %+v", res)
+	}
+}
+
+// TestFatalLatchFirstErrorWins pins the runner's fatal latch: two vehicles
+// receive a message kind no layer owns (from the test range 32..127), Run
+// fails with the error of the one delivered first — the second never
+// overwrites it — and returns no Result; Reset then re-arms the runner.
+func TestFatalLatchFirstErrorWins(t *testing.T) {
+	arena := grid.MustNew(4, 4)
+	opts := Options{Arena: arena, CubeSide: 4, Capacity: 10, Seed: 5}
+	bad := [2]struct {
+		to   sim.NodeID
+		kind uint8
+	}{{1, 40}, {6, 41}}
+	injectBad := func(r *Runner) {
+		for _, b := range bad {
+			r.net.Inject(b.to, sim.Msg{Kind: b.kind})
+		}
+	}
+
+	// Reference order: a twin runner replays Run's first arrival one
+	// delivery at a time (Run's schedule equals step-by-step delivery), and
+	// records the fatal latched by the first bad delivery.
+	twin := mustRunner(t, opts)
+	pos := twin.Partition().Pairs()[0].ServicePos()
+	injectBad(twin)
+	pairID, _ := twin.part.PairOf(pos)
+	twin.net.Inject(twin.pairActive[pairID],
+		sim.Msg{Kind: msgServeJob, A: uint32(arena.Index(pos))})
+	var first error
+	for {
+		ok, err := twin.net.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if first == nil && twin.fatal != nil {
+			first = twin.fatal
+		}
+	}
+	if first == nil || twin.net.Delivered() != 3 {
+		t.Fatalf("twin delivered %d messages, latched %v; want 3 and a fatal",
+			twin.net.Delivered(), first)
+	}
+	if twin.fatal != first {
+		t.Fatalf("second unknown kind overwrote the latch: %v, want %v", twin.fatal, first)
+	}
+
+	r := mustRunner(t, opts)
+	injectBad(r)
+	seq := demand.NewSequence([]grid.Point{pos})
+	res, err := r.Run(seq)
+	if res != nil {
+		t.Errorf("failed Run returned a Result: %+v", res)
+	}
+	if err == nil || !strings.Contains(err.Error(), "unexpected message kind") {
+		t.Fatalf("Run error %v, want an unexpected message kind error", err)
+	}
+	if err.Error() != first.Error() {
+		t.Fatalf("Run error %q, want the first delivered one %q", err, first)
+	}
+
+	if err := r.Reset(opts.Capacity, opts.Seed); err != nil {
+		t.Fatal(err)
+	}
+	res, err = r.Run(seq)
+	if err != nil {
+		t.Fatalf("Run after Reset: %v", err)
+	}
+	if !res.OK() || res.Served != 1 {
+		t.Fatalf("Run after Reset: %+v", res)
 	}
 }
 

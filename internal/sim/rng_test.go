@@ -69,14 +69,3 @@ func TestReseedMatchesSeed(t *testing.T) {
 		}
 	}
 }
-
-// TestSeedByCopyVerified documents the expectation that the init-time probe
-// accepts the current runtime's generator; if a Go release changes the
-// source's internals such that state copy stops working, this test flags the
-// silent fallback so the optimization can be revisited rather than quietly
-// shelved.
-func TestSeedByCopyVerified(t *testing.T) {
-	if !seedByCopy {
-		t.Log("seed-by-copy disabled: reflect state copy failed verification; Reset falls back to Seed")
-	}
-}

@@ -25,9 +25,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"reflect"
-	"sync"
-	"sync/atomic"
 )
 
 // NodeID identifies a process in the network. Ids must be non-negative and
@@ -44,9 +41,8 @@ const KindInvalid uint8 = 0
 
 // Msg is a compact tagged message: a kind byte plus integer operands,
 // delivered by value. Each layer owns a globally unique range of kinds
-// (package diffuse: 1..7, package gossip: 8..15, package online: 16..31,
-// package termination: 240..255; tests use 32..127) and defines what the
-// operands mean per kind.
+// (package diffuse: 1..7, package gossip: 8..15, package online: 16..31;
+// tests use 32..127) and defines what the operands mean per kind.
 //
 // A and B are the primary operands; every single-phase message in the
 // system fits in them (a node id, a sequence number, an arena cell index, a
@@ -81,10 +77,9 @@ var ErrStepLimit = errors.New("sim: step limit exceeded before quiescence")
 // network's chunked arena (see linkArena); chunks never move, so a pointer
 // to an entry is stable for the network's lifetime and the hot structures
 // (node slot tables, the ready list) cache direct pointers instead of
-// re-resolving arena indices. Under the legacy scheduler the link's HEAD
-// message does not live here: it sits in the ready list's hot array
-// (see Network.ready), so the ring only
-// ever holds overflow (second and later undelivered messages, rare at
+// re-resolving arena indices. The link's HEAD message does not live here:
+// it sits in the ready list's hot array (see Network.ready), so the ring
+// only ever holds overflow (second and later undelivered messages, rare at
 // protocol fan-outs). The sender is constant per queue, so slots carry only
 // the message value; the buffer holds no pointers, so the garbage collector
 // never scans it and a pop is a plain copy. The struct is exactly 64 bytes —
@@ -94,16 +89,9 @@ type linkQueue struct {
 	// they share the entry's only cache line with listed and proc.
 	count int32
 	head  int32
-	// sealed is the sharded scheduler's delivery watermark: how many of the
-	// ring's head messages were sent in an earlier round and are therefore
-	// deliverable this round (count - sealed messages arrived this round and
-	// wait for the barrier). The legacy scheduler never reads or writes it;
-	// in sharded mode the ready list is unused and ALL messages, including
-	// the head, live in the ring.
-	sealed int32
 	// listed marks that the link currently owns a ready-list entry (whose
 	// hot slot holds its head message). Pending messages on the link =
-	// listed(0/1) + count. Legacy scheduler only.
+	// listed(0/1) + count.
 	listed bool
 	// from and to are the link's logical address: the fixed sender and the
 	// owning (destination) node.
@@ -152,12 +140,8 @@ func (q *linkQueue) pop() Msg {
 // so an arena index — and the pointer it resolves to — stays valid for the
 // network's lifetime. That retires the pointer-repair machinery the direct-
 // pointer ready list needed (links used to carry (to, slot) address fields
-// purely so repairReady could survive a per-node table reallocation), and it
-// is what makes first-contact link creation safe while sharded rounds run in
-// parallel: an append can never move an entry another shard's worker is
-// reading. The chunk table itself is copied on growth and published
-// atomically; a stale table copy remains valid for every index allocated
-// before it was loaded.
+// purely so repairReady could survive a per-node table reallocation): only
+// the chunk table grows, and growing it copies chunk pointers, never links.
 const (
 	linkChunkShift = 8
 	linkChunkSize  = 1 << linkChunkShift // links per chunk (16 KiB of 64-byte entries)
@@ -167,53 +151,30 @@ const (
 type linkChunk [linkChunkSize]linkQueue
 
 type linkArena struct {
-	// chunks is the atomically published chunk table. Readers load it once
-	// per access; alloc replaces it wholesale under mu, so a loaded table is
-	// immutable.
-	chunks atomic.Pointer[[]*linkChunk]
-	mu     sync.Mutex // serializes alloc (first contact on a pair — rare)
-	n      int32      // links allocated; written under mu
+	chunks []*linkChunk
+	n      int32 // links allocated
 }
 
-// alloc appends one zeroed link and returns its (immobile) entry. Safe for
-// concurrent use by sharded workers (each initializes only links it owns);
-// the legacy scheduler calls it single-threaded. Callers hold the returned
-// pointer — entries never move, so no index indirection survives past this
-// call (an early index-addressed ready list paid two dependent loads per
-// hot-path resolution; see DESIGN.md).
+// alloc appends one zeroed link and returns its (immobile) entry. Callers
+// hold the returned pointer — entries never move, so no index indirection
+// survives past this call (an early index-addressed ready list paid two
+// dependent loads per hot-path resolution; see DESIGN.md).
 func (a *linkArena) alloc() *linkQueue {
-	a.mu.Lock()
 	qi := a.n
 	a.n = qi + 1
-	tp := a.chunks.Load()
-	have := 0
-	if tp != nil {
-		have = len(*tp)
+	if int(qi)>>linkChunkShift == len(a.chunks) {
+		a.chunks = append(a.chunks, new(linkChunk))
 	}
-	if int(qi)>>linkChunkShift == have {
-		grown := make([]*linkChunk, have, have+1)
-		if tp != nil {
-			copy(grown, *tp)
-		}
-		grown = append(grown, new(linkChunk))
-		a.chunks.Store(&grown)
-		tp = &grown
-	}
-	a.mu.Unlock()
-	return &(*tp)[qi>>linkChunkShift][qi&linkChunkMask]
+	return &a.chunks[qi>>linkChunkShift][qi&linkChunkMask]
 }
 
 // reset restores every allocated link to its just-created queue state (ring
-// forgotten, watermarks cleared) while keeping all storage. One contiguous
-// sweep per chunk — the warm-reset path walks packed memory instead of
-// hopping across per-node link tables.
+// forgotten, ready-list flag cleared) while keeping all storage. One
+// contiguous sweep per chunk — the warm-reset path walks packed memory
+// instead of hopping across per-node link tables.
 func (a *linkArena) reset() {
-	tp := a.chunks.Load()
-	if tp == nil {
-		return
-	}
 	left := a.n
-	for _, ch := range *tp {
+	for _, ch := range a.chunks {
 		k := left
 		if k > linkChunkSize {
 			k = linkChunkSize
@@ -223,7 +184,6 @@ func (a *linkArena) reset() {
 			q.listed = false
 			q.head = 0
 			q.count = 0
-			q.sealed = 0
 		}
 		if left -= k; left == 0 {
 			return
@@ -276,10 +236,6 @@ type node struct {
 	// the queueFor scan, which refreshes the cache; slots are stable, so a
 	// hit can never be wrong, only stale.
 	recvSlot int32
-	// pend marks (sharded mode only) that the node has undelivered arrivals
-	// and sits on its owner shard's active or next list — the dedup bit for
-	// those lists. Cleared as the owning shard opens the node's round.
-	pend bool
 }
 
 // alfg mirrors math/rand's additive lagged Fibonacci generator
@@ -370,7 +326,7 @@ type Network struct {
 	// links is the chunked arena holding every linkQueue in the network;
 	// nodes and the ready list hold direct pointers into it (see linkArena).
 	links linkArena
-	// ready is the legacy scheduler's ready list: the exact set of nonempty
+	// ready is the scheduler's ready list: the exact set of nonempty
 	// links, as a dense hot array carrying each listed link's head message,
 	// dispatch ids, and backing-link pointer. Listing a link appends one
 	// entry; draining one swap-removes it, so the draw loop's random pick
@@ -396,68 +352,23 @@ type Network struct {
 	modK    int32
 	modMaxv int32
 	modM    uint64
-	// pristine holds a snapshot of the source's internal state right after
-	// seeding with pristineSeed, so the warm-start path can reseed by a
-	// plain state copy instead of math/rand's 607-round seed scramble.
-	// Only used when seedByCopy verified the technique at init (see below)
-	// and the faster captured-generator path below is unavailable.
-	pristine     reflect.Value
-	pristineSeed int64
-	havePristine bool
 	// fast is the in-struct mirror of the seeded generator (see alfg),
 	// active when fastOK: scheduler draws then run inline with no interface
-	// call, and a warm Reset restores fastPristine (the post-Seed state)
-	// with a plain copy. When capture fails, draws go through src.
+	// call, and a warm Reset with the same seed (fastSeed) restores
+	// fastPristine (the post-Seed state) with a plain copy instead of
+	// math/rand's 607-round seed scramble. When capture fails, draws go
+	// through src.
 	fast         alfg
 	fastPristine alfg
+	fastSeed     int64
 	fastOK       bool
-	// sh is non-nil when the sealed-round sharded scheduler is selected
-	// (SetShards); every entry point dispatches on it. curSeed tracks the
-	// current episode seed so SetShards can derive per-cell streams without
-	// a Reset.
-	sh      *shardNet
-	curSeed int64
 }
 
 // NewNetwork creates an empty network with the given determinism seed.
 func NewNetwork(seed int64) *Network {
-	n := &Network{src: rand.NewSource(seed), curSeed: seed}
+	n := &Network{src: rand.NewSource(seed)}
 	n.ctx.net = n
 	return n
-}
-
-// seedByCopy reports whether reseeding a math/rand source by copying a
-// snapshot of its just-seeded state (via reflect) reproduces the stream of a
-// freshly seeded source. Verified once at init against the real generator;
-// if the runtime's source ever stops being a plain state struct this turns
-// false and Reset falls back to Seed. The copy replaces a reseed costing
-// 607 multiplicative scramble rounds with a ~5KB memmove.
-var seedByCopy = verifySeedByCopy()
-
-func verifySeedByCopy() (ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	src := rand.NewSource(20080527)
-	v := reflect.ValueOf(src)
-	if v.Kind() != reflect.Ptr {
-		return false
-	}
-	snap := reflect.New(v.Type().Elem()).Elem()
-	snap.Set(v.Elem())
-	want := make([]int64, 64)
-	for i := range want {
-		want[i] = src.Int63()
-	}
-	v.Elem().Set(snap) // roll back and replay
-	for i := range want {
-		if src.Int63() != want[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // intn replicates math/rand.(*Rand).Intn over the network's source — the
@@ -514,33 +425,21 @@ func (n *Network) intn(k int) int {
 // reset network runs bit-for-bit identically to a freshly built one with
 // the same seed and processes.
 func (n *Network) Reset(seed int64) {
-	n.curSeed = seed
-	if n.sh == nil {
-		n.reseed(seed)
-	}
-	for b := range n.nodes {
-		n.nodes[b].pend = false
-	}
+	n.reseed(seed)
 	n.links.reset()
 	n.ready = n.ready[:0]
 	n.delivered = 0
 	n.sent = 0
 	n.badSend = nil
-	if n.sh != nil {
-		// Sharded mode leaves the legacy source untouched (per-cell streams
-		// replace it); switching back to legacy with SetShards(0) reseeds on
-		// the next Reset.
-		n.shardReset(seed)
-	}
 }
 
-// reseed puts the source in the same state Seed(seed) would, preferring a
-// snapshot copy when the same seed repeats — the warm sweep engine resets
-// thousands of episodes with one seed, and the copy is ~20x cheaper than
-// math/rand's seed scramble. The first Reset with a new seed pays one Seed
-// plus one snapshot allocation; warm repeats allocate nothing.
+// reseed puts the generator in the same state Seed(seed) would, preferring
+// a copy of the captured post-Seed state when the same seed repeats — the
+// warm sweep engine resets thousands of episodes with one seed, and the
+// copy is ~20x cheaper than math/rand's seed scramble. Warm repeats
+// allocate nothing.
 func (n *Network) reseed(seed int64) {
-	if n.fastOK && n.pristineSeed == seed {
+	if n.fastOK && n.fastSeed == seed {
 		n.fast = n.fastPristine
 		return
 	}
@@ -548,24 +447,12 @@ func (n *Network) reseed(seed int64) {
 	if captureALFG(n.src, &n.fast) {
 		n.fastPristine = n.fast
 		n.fastOK = true
-		n.havePristine = false
-		n.pristineSeed = seed
+		n.fastSeed = seed
 		return
 	}
 	n.fastOK = false
 	// Capture spends draws; restore the pristine seeded state.
 	n.src.Seed(seed)
-	if seedByCopy {
-		if n.havePristine && n.pristineSeed == seed {
-			reflect.ValueOf(n.src).Elem().Set(n.pristine)
-			return
-		}
-		v := reflect.ValueOf(n.src)
-		n.pristine = reflect.New(v.Type().Elem()).Elem()
-		n.pristine.Set(v.Elem())
-		n.pristineSeed = seed
-		n.havePristine = true
-	}
 }
 
 // Add registers a process under id.
@@ -593,31 +480,13 @@ func (n *Network) Add(id NodeID, p Process) error {
 type Context struct {
 	net  *Network
 	self NodeID
-	// shard is the executing shard in sharded mode (each shard owns one
-	// Context, so parallel handlers never share one); nil under the legacy
-	// scheduler.
-	shard *shard
 }
 
 // Self returns the id of the process being invoked.
 func (c *Context) Self() NodeID { return c.self }
 
-// Shard returns the index of the shard executing this delivery, or 0 under
-// the legacy scheduler. Hosts that buffer writes per shard (the online
-// layer's blackboard) use it to pick their buffer.
-func (c *Context) Shard() int {
-	if c.shard == nil {
-		return 0
-	}
-	return int(c.shard.id)
-}
-
 // Send enqueues a message from the current process to another node.
 func (c *Context) Send(to NodeID, msg Msg) {
-	if c.shard != nil {
-		c.shard.send(c.self, to, msg)
-		return
-	}
 	c.net.enqueue(c.self, to, msg)
 }
 
@@ -676,10 +545,6 @@ func (n *Network) Inject(to NodeID, msg Msg) {
 		}
 		return
 	}
-	if n.sh != nil {
-		n.shardInject(to, msg)
-		return
-	}
 	n.injectKnown(to, msg)
 }
 
@@ -690,18 +555,6 @@ func (n *Network) Inject(to NodeID, msg Msg) {
 // slot scan, no per-node revalidation beyond the unknown-id check. The
 // online layer's monitoring rounds use it for their two full-arena waves.
 func (n *Network) InjectMany(ids []NodeID, msg Msg) {
-	if n.sh != nil {
-		for _, to := range ids {
-			if !n.known(to) {
-				if n.badSend == nil {
-					n.badSend = fmt.Errorf("sim: inject to unknown node %d", to)
-				}
-				continue
-			}
-			n.shardInject(to, msg)
-		}
-		return
-	}
 	for _, to := range ids {
 		if !n.known(to) {
 			if n.badSend == nil {
@@ -860,9 +713,6 @@ func (n *Network) deliver(i int) {
 // bit-for-bit aligned with the historical one-draw-per-delivery scheduler.
 // Run's burst path relies on this equivalence.
 func (n *Network) Step() (bool, error) {
-	if n.sh != nil {
-		return n.stepSharded()
-	}
 	if n.badSend != nil {
 		return false, n.badSend
 	}
@@ -882,9 +732,6 @@ func (n *Network) Step() (bool, error) {
 // schedule is bit-for-bit identical to stepping one message at a time,
 // which TestRunMatchesStepByStep pins.
 func (n *Network) Run(maxSteps int64) error {
-	if n.sh != nil {
-		return n.runSharded(maxSteps)
-	}
 	for steps := int64(0); ; {
 		if n.badSend != nil {
 			return n.badSend
