@@ -69,7 +69,9 @@ type (
 	// Fleet makes the online fleet heterogeneous (per-vehicle classes with
 	// partition-aware assignment).
 	Fleet = online.Fleet
-	// SearchProtocol selects the Phase I dissemination protocol.
+	// SearchProtocol selects the Phase I dissemination protocol: the full
+	// Dijkstra-Scholten flood, or the same search with its queries limited
+	// to OnlineOptions.GossipFanout neighbors per node.
 	SearchProtocol = online.SearchProtocol
 	// Longevity holds the Chapter 4 breakdown parameters p_i.
 	Longevity = broken.Longevity

@@ -11,6 +11,21 @@
 // the host routes diffusion messages into Handle and receives callbacks when
 // a computation it initiated completes and when a payload reaches it as the
 // found candidate.
+//
+// Config.Fanout turns the flood into fanout-limited gossip: every node that
+// joins a computation queries at most Fanout neighbors instead of its whole
+// neighborhood. Termination detection and the Phase II payload path are
+// unchanged — every query is answered and replies drain up the first-parent
+// tree — so a search still always completes, but with a fanout below the
+// node degree the queries cover only a subgraph and may miss the only
+// candidate. Fanout is the fidelity/traffic knob: fewer messages, lower
+// discovery probability. Gossip protocols pick peers at random; drawing from
+// the simulator's RNG stream inside handlers would entangle protocol choices
+// with the delivery scheduler, so the peer subset is *derandomized*: a
+// deterministic mix of (initiator, sequence, self) rotated over the neighbor
+// list. Episodes stay single-seed reproducible, and different searches (and
+// different nodes) still spread over different subsets. A fanout of 0 (or
+// one at least the node degree) is the full flood, message for message.
 package diffuse
 
 import (
@@ -20,8 +35,7 @@ import (
 )
 
 // Message kinds owned by this package (range 1..7 of the sim.Msg kind
-// space; 8..15 belongs to the sibling search engine in package gossip).
-// Operand layout per kind:
+// space). Operand layout per kind:
 //
 //	KindQuery   — A: initiator id, B: sequence number (Phase I probe)
 //	KindReply   — A: initiator id, B: sequence number, C: 1 if the subtree
@@ -79,6 +93,11 @@ type Config struct {
 	// IsCandidate reports whether this node satisfies the search predicate
 	// (for the online strategy: the vehicle is idle).
 	IsCandidate func() bool
+	// Fanout returns the per-node query bound; nil, a value <= 0, or one at
+	// least the neighbor count means query every neighbor. Read on every
+	// flood, so a pooled host can re-tune it between episodes without
+	// rebuilding engines.
+	Fanout func() int
 	// OnComplete fires at the initiator when its computation terminates.
 	// found reports whether a candidate was located.
 	OnComplete func(ctx sim.Sender, seq int, found bool)
@@ -101,8 +120,9 @@ type Engine struct {
 	nextSeq int // local counter for computations this node initiates
 }
 
-// New creates an engine. Neighbors and IsCandidate are required; the
-// callbacks may be nil when the host never initiates / is never a candidate.
+// New creates an engine. Neighbors and IsCandidate are required; Fanout may
+// be nil (full flood), and the callbacks may be nil when the host never
+// initiates / is never a candidate.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Neighbors == nil {
 		return nil, fmt.Errorf("diffuse: Neighbors is required")
@@ -143,6 +163,36 @@ func replyMsg(init sim.NodeID, seq int, found bool) sim.Msg {
 	return m
 }
 
+// flood sends the query to this node's fanout subset and returns how many
+// neighbors were queried. The subset is min(fanout, degree) neighbors taken
+// consecutively from a start offset mixed from (initiator, sequence, self).
+// No slice is built: the warm search path stays allocation-free.
+func (e *Engine) flood(ctx sim.Sender, init sim.NodeID, seq int) int {
+	neigh := e.cfg.Neighbors()
+	n := len(neigh)
+	if n == 0 {
+		return 0
+	}
+	f := 0
+	if e.cfg.Fanout != nil {
+		f = e.cfg.Fanout()
+	}
+	// One inline query value fans out to every target: each send copies
+	// three words into the link's ring buffer.
+	msg := queryMsg(init, seq)
+	if f <= 0 || f >= n {
+		for _, t := range neigh {
+			ctx.Send(t, msg)
+		}
+		return n
+	}
+	start := (31*int(init) + 17*int(ctx.Self()) + 13*seq) % n
+	for i := 0; i < f; i++ {
+		ctx.Send(neigh[(start+i)%n], msg)
+	}
+	return f
+}
+
 // StartSearch begins a new diffusing computation with this node as the
 // initiator (thesis Algorithm 2, "when a vehicle p uses up its energy").
 // It returns the computation's sequence number. If the node has no
@@ -155,16 +205,7 @@ func (e *Engine) StartSearch(ctx sim.Sender) int {
 	e.child = sim.None
 	e.init = ctx.Self()
 	e.seq = seq
-	neigh := e.cfg.Neighbors()
-	e.num = len(neigh)
-	if e.num > 0 {
-		// One inline query value fans out to every neighbor: each send
-		// copies three words into the link's ring buffer.
-		msg := queryMsg(ctx.Self(), seq)
-		for _, n := range neigh {
-			ctx.Send(n, msg)
-		}
-	}
+	e.num = e.flood(ctx, ctx.Self(), seq)
 	if e.num == 0 {
 		e.state = Waiting
 		if e.cfg.OnComplete != nil {
@@ -209,17 +250,10 @@ func (e *Engine) onQuery(ctx sim.Sender, from, init sim.NodeID, seq int) {
 		return
 	}
 	e.state = Searching
-	neigh := e.cfg.Neighbors()
-	e.num = len(neigh)
+	e.num = e.flood(ctx, init, seq)
 	if e.num == 0 {
 		e.state = Waiting
 		ctx.Send(from, replyMsg(init, seq, false))
-		return
-	}
-	// One query value shared by the whole re-flood (see StartSearch).
-	msg := queryMsg(init, seq)
-	for _, n := range neigh {
-		ctx.Send(n, msg)
 	}
 }
 

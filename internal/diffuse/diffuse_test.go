@@ -19,6 +19,7 @@ type host struct {
 	eng       *Engine
 	adj       []sim.NodeID
 	candidate bool
+	fanout    int // Config.Fanout's value; 0 is the full flood
 
 	completions []bool    // found flags, in completion order
 	payloads    []Payload // Phase II deliveries
@@ -33,6 +34,7 @@ func newHost(t *testing.T, id sim.NodeID, adj []sim.NodeID, candidate bool) *hos
 	eng, err := New(Config{
 		Neighbors:   func() []sim.NodeID { return h.adj },
 		IsCandidate: func() bool { return h.candidate },
+		Fanout:      func() int { return h.fanout },
 		OnComplete: func(ctx sim.Sender, seq int, found bool) {
 			h.completions = append(h.completions, found)
 			if found && h.autoForward {
@@ -76,6 +78,16 @@ func buildNetwork(t *testing.T, seed int64, edges [][2]int, n int, candidates ma
 		if err := net.Add(sim.NodeID(i), hosts[i]); err != nil {
 			t.Fatal(err)
 		}
+	}
+	return net, hosts
+}
+
+// buildFanoutNetwork is buildNetwork with every host's fanout set.
+func buildFanoutNetwork(t *testing.T, seed int64, edges [][2]int, n int, candidates map[int]bool, fanout int) (*sim.Network, []*host) {
+	t.Helper()
+	net, hosts := buildNetwork(t, seed, edges, n, candidates)
+	for _, h := range hosts {
+		h.fanout = fanout
 	}
 	return net, hosts
 }
@@ -338,5 +350,115 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 		if hosts2[0].eng.seq != 1 {
 			t.Fatalf("reset engine's first computation has seq %d, want 1", hosts2[0].eng.seq)
 		}
+	}
+}
+
+func TestFanoutOneOnPathStillReaches(t *testing.T) {
+	// On a path every interior node has degree 2; with fanout 1 the chosen
+	// target is deterministic but may point backwards, so the search must
+	// *terminate* either way — found or not, exactly one completion.
+	edges := [][2]int{{0, 1}, {1, 2}, {2, 3}}
+	net, hosts := buildFanoutNetwork(t, 1, edges, 4, map[int]bool{3: true}, 1)
+	net.Inject(0, startMsg())
+	if err := net.Run(10_000); err != nil {
+		t.Fatal(err)
+	}
+	if len(hosts[0].completions) != 1 {
+		t.Fatalf("completions %v, want exactly one", hosts[0].completions)
+	}
+}
+
+// TestAlwaysTerminatesAnyFanout extends the random-graph sweep to every
+// fanout: the search must complete exactly once, never report a candidate
+// when none exists, and deliver a successful payload exactly once to a true
+// candidate.
+func TestAlwaysTerminatesAnyFanout(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 40; trial++ {
+		n := 3 + rng.Intn(15)
+		var edges [][2]int
+		for i := 1; i < n; i++ {
+			edges = append(edges, [2]int{rng.Intn(i), i})
+		}
+		for k := 0; k < n/2; k++ {
+			a, b := rng.Intn(n), rng.Intn(n)
+			if a != b {
+				edges = append(edges, [2]int{a, b})
+			}
+		}
+		candidates := map[int]bool{}
+		for i := 1; i < n; i++ {
+			if rng.Intn(4) == 0 {
+				candidates[i] = true
+			}
+		}
+		for fanout := 0; fanout <= 3; fanout++ {
+			net, hosts := buildFanoutNetwork(t, int64(trial), edges, n, candidates, fanout)
+			hosts[0].autoForward = true
+			hosts[0].autoPayload = Payload{A: uint32(trial), B: 9}
+			net.Inject(0, startMsg())
+			if err := net.Run(1_000_000); err != nil {
+				t.Fatalf("trial %d fanout %d: %v", trial, fanout, err)
+			}
+			if len(hosts[0].completions) != 1 {
+				t.Fatalf("trial %d fanout %d: completions %v", trial, fanout, hosts[0].completions)
+			}
+			found := hosts[0].completions[0]
+			if found && len(candidates) == 0 {
+				t.Fatalf("trial %d fanout %d: found without candidates", trial, fanout)
+			}
+			// Full flood on a connected graph: found iff any candidate exists.
+			if fanout == 0 && found != (len(candidates) > 0) {
+				t.Fatalf("trial %d: full flood found=%v, candidates=%v", trial, found, candidates)
+			}
+			delivered := 0
+			for i, h := range hosts {
+				if len(h.payloads) > 0 && !candidates[i] {
+					t.Fatalf("trial %d fanout %d: payload at non-candidate %d", trial, fanout, i)
+				}
+				delivered += len(h.payloads)
+			}
+			if found && delivered != 1 {
+				t.Fatalf("trial %d fanout %d: payload delivered %d times", trial, fanout, delivered)
+			}
+		}
+	}
+}
+
+// TestFanoutBoundsTraffic pins the fidelity/traffic knob's traffic side:
+// on a dense graph, lowering the fanout can only lower (or keep) the
+// delivered-message count of one search.
+func TestFanoutBoundsTraffic(t *testing.T) {
+	// Complete graph on 10 nodes, no candidates (worst-case full spread).
+	n := 10
+	var edges [][2]int
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			edges = append(edges, [2]int{i, j})
+		}
+	}
+	run := func(fanout int) int64 {
+		net, hosts := buildFanoutNetwork(t, 5, edges, n, nil, fanout)
+		net.Inject(0, startMsg())
+		if err := net.Run(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if len(hosts[0].completions) != 1 {
+			t.Fatalf("fanout %d: completions %v", fanout, hosts[0].completions)
+		}
+		return net.Delivered()
+	}
+	full := run(0)
+	prev := full
+	for fanout := n - 1; fanout >= 1; fanout-- {
+		got := run(fanout)
+		if got > prev {
+			t.Errorf("fanout %d delivered %d messages, more than fanout %d's %d",
+				fanout, got, fanout+1, prev)
+		}
+		prev = got
+	}
+	if one := run(1); one >= full {
+		t.Errorf("fanout 1 delivered %d messages, full flood %d — no traffic saving", one, full)
 	}
 }

@@ -215,10 +215,11 @@ const (
 	// (Algorithm 2): a full flood of the communication neighborhood with
 	// exact termination detection. The default.
 	SearchDiffuse SearchProtocol = iota
-	// SearchGossip is the fanout-limited gossip alternative (package
-	// gossip): each node forwards the rumor to at most Options.GossipFanout
-	// deterministically chosen neighbors. Cheaper in messages, but the
-	// rumor may miss the only idle candidate — the fidelity/traffic knob.
+	// SearchGossip is the same diffusing computation with a fanout
+	// (diffuse.Config.Fanout): each node forwards the query to at most
+	// Options.GossipFanout deterministically chosen neighbors. Cheaper in
+	// messages, but the query may miss the only idle candidate — the
+	// fidelity/traffic knob. At fanout 0 it is SearchDiffuse exactly.
 	SearchGossip
 )
 

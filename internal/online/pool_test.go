@@ -2,6 +2,7 @@ package online
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/demand"
@@ -181,5 +182,60 @@ func TestResetEpisodeValidation(t *testing.T) {
 	}
 	if r.Partition() == samePart {
 		t.Error("runner should keep its own partition (neighbor lists point into it)")
+	}
+}
+
+// TestPoolSwitchesSearchProtocolPerEpisode pins protocol switching on a
+// reused runner, as the failure sweep does when its pool serves gossip and
+// diffuse scenarios of one geometry: each episode must equal a fresh
+// runner's, so the fanout is read on every flood, not fixed at build time.
+func TestPoolSwitchesSearchProtocolPerEpisode(t *testing.T) {
+	arena := grid.MustNew(8, 8)
+	jobs := make([]grid.Point, 60)
+	for i := range jobs {
+		jobs[i] = grid.P(4, 4)
+	}
+	base := Options{
+		Arena: arena, CubeSide: 8, Capacity: 24, Seed: 1, Monitoring: true,
+		FailInitiate: map[grid.Point]bool{grid.P(4, 4): true},
+	}
+	episodes := []struct {
+		search SearchProtocol
+		fanout int
+	}{{SearchGossip, 2}, {SearchDiffuse, 0}, {SearchGossip, 1}}
+
+	pool := NewPool()
+	var msgs []int64
+	for _, ep := range episodes {
+		opts := base
+		opts.Search = ep.search
+		opts.GossipFanout = ep.fanout
+		r, err := pool.Get(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Run(demand.NewSequence(jobs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := mustRunner(t, opts).Run(demand.NewSequence(jobs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Searches == 0 || want.MonitorRescues == 0 {
+			t.Fatalf("%+v: %+v — scenario not exercising the failure path", ep, want)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: pooled episode diverged from fresh:\ngot  %+v\nwant %+v", ep, got, want)
+		}
+		msgs = append(msgs, want.Messages)
+	}
+	if got := pool.Stats(); got.Builds != 1 || got.Resets != 2 {
+		t.Errorf("stats = %+v, want 1 build / 2 resets", got)
+	}
+	// The protocols must differ on this scenario, or the comparison above
+	// could not catch a runner that kept the previous episode's fanout.
+	if msgs[0] == msgs[1] || msgs[1] == msgs[2] {
+		t.Fatalf("message counts %v: fanouts 2, 0 and 1 are indistinguishable", msgs)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/demand"
 	"repro/internal/diffuse"
-	"repro/internal/gossip"
 	"repro/internal/grid"
 	"repro/internal/sim"
 )
@@ -60,10 +59,10 @@ type Options struct {
 	// runners via ResetEpisode.
 	Search SearchProtocol
 	// GossipFanout bounds per-node forwarding when Search == SearchGossip:
-	// each node spreads a rumor to at most this many deterministically
-	// chosen neighbors. 0 means full flood (message-for-message identical
-	// to the diffusing computation); setting it without SearchGossip is an
-	// error.
+	// each node forwards the search query to at most this many
+	// deterministically chosen neighbors. 0 means full flood (message-for-
+	// message identical to the diffusing computation); setting it without
+	// SearchGossip is an error.
 	GossipFanout int
 	// Monitoring enables the Section 3.2.5 heartbeat ring. Without it,
 	// scenario 2/3 failures go unrepaired.
@@ -166,10 +165,8 @@ type Runner struct {
 	// inject to (the order is part of the deterministic schedule).
 	allNodes []sim.NodeID
 
-	// gossip selects the live Phase I engine for the episode; evidence
-	// enables the customer-complaint channel (set iff the failure model has
-	// Byzantine cells, so legacy episodes inject nothing new).
-	gossip   bool
+	// evidence enables the customer-complaint channel (set iff the failure
+	// model has Byzantine cells, so legacy episodes inject nothing new).
 	evidence bool
 	// pairDownAt tracks replacement latency: the arrival index at which a
 	// pair first lost a job (-1 while healthy), settled by noteRestored.
@@ -267,7 +264,6 @@ func NewRunner(opts Options) (*Runner, error) {
 		pairActive:     make([]sim.NodeID, len(part.Pairs())),
 		pendingReplace: make([]bool, len(part.Pairs())),
 		pairDownAt:     make([]int, len(part.Pairs())),
-		gossip:         opts.Search == SearchGossip,
 		evidence:       len(model.Byzantine) > 0,
 	}
 	// Densify the failure-injection maps once at the public boundary; the
@@ -285,7 +281,7 @@ func NewRunner(opts Options) (*Runner, error) {
 			longevity = p
 		}
 		// Resolve the communication neighborhood to node ids once; the
-		// search engines flood this exact slice on every Phase I search.
+		// search engine floods this exact slice on every Phase I search.
 		nidx := part.CommNeighborIndices(idx)
 		neighbors := make([]sim.NodeID, len(nidx))
 		for i, ni := range nidx {
@@ -301,47 +297,29 @@ func NewRunner(opts Options) (*Runner, error) {
 			neighbors:    neighbors,
 		}
 		v.applyClass(opts.Fleet, part)
-		isCandidate := func() bool {
-			return v.state == Idle && v.untilBreak() >= v.reserveCost()
-		}
-		onPayload := func(ctx sim.Sender, a, b uint32) {
-			v.onMoveOrder(ctx, moveOrder{
-				Dest:   opts.Arena.PointAt(int64(a)),
-				PairID: int(b),
-			})
-		}
+		// GossipFanout is 0 unless Search is SearchGossip (validateSearch),
+		// and the engine reads it on every flood, so a pooled runner changes
+		// protocol per ResetEpisode without rebuilding engines.
 		ds, err := diffuse.New(diffuse.Config{
-			Neighbors:   func() []sim.NodeID { return v.neighbors },
-			IsCandidate: isCandidate,
+			Neighbors: func() []sim.NodeID { return v.neighbors },
+			IsCandidate: func() bool {
+				return v.state == Idle && v.untilBreak() >= v.reserveCost()
+			},
+			Fanout: func() int { return r.opts.GossipFanout },
 			OnComplete: func(ctx sim.Sender, seq int, found bool) {
 				v.onSearchComplete(ctx, seq, found)
 			},
 			OnPayload: func(ctx sim.Sender, payload diffuse.Payload) {
-				onPayload(ctx, payload.A, payload.B)
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Both Phase I engines are built up front (two small structs per
-		// vehicle) so a pooled runner can flip protocols per episode without
-		// reconstruction; only the selected one ever sees traffic.
-		gs, err := gossip.New(gossip.Config{
-			Neighbors:   func() []sim.NodeID { return v.neighbors },
-			IsCandidate: isCandidate,
-			Fanout:      func() int { return r.opts.GossipFanout },
-			OnComplete: func(ctx sim.Sender, seq int, found bool) {
-				v.onSearchComplete(ctx, seq, found)
-			},
-			OnPayload: func(ctx sim.Sender, payload gossip.Payload) {
-				onPayload(ctx, payload.A, payload.B)
+				v.onMoveOrder(ctx, moveOrder{
+					Dest:   opts.Arena.PointAt(int64(payload.A)),
+					PairID: int(payload.B),
+				})
 			},
 		})
 		if err != nil {
 			return nil, err
 		}
 		v.ds = ds
-		v.gs = gs
 		r.vehicles[id] = v
 		if err := r.net.Add(id, v); err != nil {
 			return nil, err
@@ -377,7 +355,6 @@ func (r *Runner) restoreInitialState() {
 		clear(v.heard)
 		clear(v.complaints)
 		v.ds.Reset()
-		v.gs.Reset()
 	}
 	// Activate the service vertex of every pair; fall back to the white
 	// partner when the black vertex's vehicle is broken from the start.
@@ -493,7 +470,6 @@ func (r *Runner) ResetEpisode(opts Options) error {
 		v.applyClass(opts.Fleet, r.part)
 	}
 	r.deadEvents = densifyDeadEvents(opts.Arena, model.DeadBeforeArrival)
-	r.gossip = opts.Search == SearchGossip
 	r.evidence = len(model.Byzantine) > 0
 	// Geometry is interchangeable by construction (a Partition is a
 	// deterministic function of arena and cube side), so keep the runner's

@@ -41,8 +41,8 @@ const KindInvalid uint8 = 0
 
 // Msg is a compact tagged message: a kind byte plus integer operands,
 // delivered by value. Each layer owns a globally unique range of kinds
-// (package diffuse: 1..7, package gossip: 8..15, package online: 16..31;
-// tests use 32..127) and defines what the operands mean per kind.
+// (package diffuse: 1..7, package online: 16..31; tests use 32..127) and
+// defines what the operands mean per kind.
 //
 // A and B are the primary operands; every single-phase message in the
 // system fits in them (a node id, a sequence number, an arena cell index, a
