@@ -1,11 +1,12 @@
 // Package broken reproduces thesis Chapter 4: CMVRP when vehicles may break
 // down. Each vehicle i has a longevity parameter p_i in [0,1] and dies after
-// spending a fraction p_i of its initial energy. The package computes the
-// linear-programming lower bound of Theorem 4.1.1 (supply p_i*omega within
-// radius p_i*omega) and reconstructs the Figure 4.1 example showing that —
-// unlike the healthy case — the LP bound is not tight: arrival *order*
-// matters, and the true requirement grows quadratically while the LP bound
-// stays linear.
+// spending a fraction p_i of its initial energy. The package holds the
+// Longevity model, the Figure 4.1 scenario with its reference formulas —
+// showing that, unlike the healthy case, the LP bound is not tight: arrival
+// *order* matters, and the true requirement grows quadratically while the LP
+// bound stays linear — and LowerBound, a thin wrapper that solves the
+// Theorem 4.1.1 program (supply p_i*omega within radius p_i*omega) on
+// lpchar's shared LP core.
 package broken
 
 import (
@@ -13,8 +14,8 @@ import (
 	"math"
 
 	"repro/internal/demand"
-	"repro/internal/flow"
 	"repro/internal/grid"
+	"repro/internal/lpchar"
 )
 
 // Longevity maps positions to p_i. Positions absent from Override get
@@ -32,91 +33,25 @@ func (l Longevity) At(x grid.Point) float64 {
 	return l.Default
 }
 
-// Validate checks all parameters lie in [0,1].
+// Validate checks all parameters lie in [0,1]; NaN lies outside.
 func (l Longevity) Validate() error {
-	if l.Default < 0 || l.Default > 1 {
+	if !(l.Default >= 0 && l.Default <= 1) {
 		return fmt.Errorf("broken: default longevity %v outside [0,1]", l.Default)
 	}
 	for p, v := range l.Override {
-		if v < 0 || v > 1 {
+		if !(v >= 0 && v <= 1) {
 			return fmt.Errorf("broken: longevity %v at %v outside [0,1]", v, p)
 		}
 	}
 	return nil
 }
 
-// feasible reports whether capacity omega satisfies LP (4.1): every vehicle
-// i supplies at most p_i*omega within radius p_i*omega.
-func feasible(m *demand.Map, lon Longevity, omega float64) (bool, error) {
-	total := float64(m.Total())
-	if total == 0 {
-		return true, nil
-	}
-	if omega <= 0 {
-		return false, nil
-	}
-	support := m.Support()
-	// Suppliers: lattice points i with p_i*omega >= dist(i, some demand).
-	// The candidate region is the support's neighborhoods of radius
-	// maxP*omega.
-	maxP := lon.Default
-	for _, v := range lon.Override {
-		if v > maxP {
-			maxP = v
-		}
-	}
-	maxR := int(math.Floor(maxP * omega))
-	seen := make(map[grid.Point]bool)
-	var suppliers []grid.Point
-	for _, s := range support {
-		b, err := grid.NewBox(m.Dim(), s, s)
-		if err != nil {
-			return false, err
-		}
-		for _, p := range grid.NeighborhoodPoints(b, maxR) {
-			if seen[p] {
-				continue
-			}
-			seen[p] = true
-			if lon.At(p) > 0 {
-				suppliers = append(suppliers, p)
-			}
-		}
-	}
-	n := 2 + len(suppliers) + len(support)
-	nw, err := flow.NewNetwork(n)
-	if err != nil {
-		return false, err
-	}
-	src, sink := 0, n-1
-	for i, p := range suppliers {
-		if _, err := nw.AddEdge(src, 1+i, lon.At(p)*omega); err != nil {
-			return false, err
-		}
-	}
-	for j, q := range support {
-		dj := 1 + len(suppliers) + j
-		if _, err := nw.AddEdge(dj, sink, float64(m.At(q))); err != nil {
-			return false, err
-		}
-		for i, p := range suppliers {
-			if float64(grid.Manhattan(p, q)) <= lon.At(p)*omega {
-				if _, err := nw.AddEdge(1+i, dj, math.Inf(1)); err != nil {
-					return false, err
-				}
-			}
-		}
-	}
-	val, err := nw.MaxFlow(src, sink)
-	if err != nil {
-		return false, err
-	}
-	return val >= total*(1-1e-9)-1e-9, nil
-}
-
 // LowerBound computes the Theorem 4.1.1 lower bound on Woff-b: the value of
-// LP (4.1), found by binary search on omega with the flow feasibility
-// oracle. The search bracket doubles from 1 until feasible.
+// LP (4.1), found by binary search on omega with lpchar's weighted max-flow
+// probe, each vehicle weighted by its longevity. The search bracket doubles
+// from 1 until feasible. The override map is scanned once per call for max
+// p_i and looked up once per supplier whenever the probe's index grows —
+// never per probe.
 func LowerBound(m *demand.Map, lon Longevity) (float64, error) {
 	if err := lon.Validate(); err != nil {
 		return 0, err
@@ -124,34 +59,22 @@ func LowerBound(m *demand.Map, lon Longevity) (float64, error) {
 	if m.Total() == 0 {
 		return 0, nil
 	}
-	hi := 1.0
-	for {
-		ok, err := feasible(m, lon, hi)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			break
-		}
-		hi *= 2
-		if hi > 1e12 {
-			return 0, fmt.Errorf("broken: no feasible omega below 1e12 (all longevities zero near demand?)")
-		}
+	maxP := lon.Default
+	for _, v := range lon.Override {
+		maxP = math.Max(maxP, v)
 	}
-	lo := 0.0
-	for iter := 0; iter < 60 && hi-lo > 1e-9*math.Max(1, hi); iter++ {
-		mid := (lo + hi) / 2
-		ok, err := feasible(m, lon, mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid
-		}
+	probe, err := lpchar.NewWeightedProbe(m, lon.At, maxP)
+	if err != nil {
+		return 0, err
 	}
-	return hi, nil
+	v, ok, err := probe.Value()
+	if err != nil {
+		return 0, err
+	}
+	if !ok {
+		return 0, fmt.Errorf("broken: no feasible omega below 1e12 (all longevities zero near demand?)")
+	}
+	return v, nil
 }
 
 // Fig41 is the thesis Figure 4.1 scenario: demand points i and j at mutual
@@ -186,14 +109,13 @@ func NewFig41(r1, r2 int) (*Fig41, error) {
 		return nil, err
 	}
 	// Vehicles inside the circle of radius r2 around k are broken (p=0),
-	// except k itself.
-	over := make(map[grid.Point]float64)
-	kb, err := grid.NewBox(2, k, k)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range grid.NeighborhoodPoints(kb, r2) {
-		over[p] = 0
+	// except k itself. The L1 disc holds 2*r2^2 + 2*r2 + 1 points.
+	over := make(map[grid.Point]float64, 2*r2*r2+2*r2+1)
+	for x := -r2; x <= r2; x++ {
+		h := r2 - max(x, -x)
+		for y := -h; y <= h; y++ {
+			over[grid.P(x, y)] = 0
+		}
 	}
 	over[k] = 1
 	return &Fig41{

@@ -9,8 +9,9 @@ import (
 	"repro/internal/grid"
 )
 
-// Probe tolerances shared by the fresh oracle (Reset+MaxFlow) and the
-// cut-certified probe path, hoisted so the two cannot drift.
+// Probe tolerances shared by the fresh oracle (Reset+MaxFlow), the
+// cut-certified probe path and WeightedProbe's LP (4.1) search, hoisted so
+// they cannot drift.
 // feasSlackRel/feasSlackAbs are the relative and absolute slack under
 // which FeasibleAt treats the max flow as saturating the total demand;
 // bisectMaxIters/bisectTolRel bound Value()'s bisection on omega.
@@ -394,10 +395,11 @@ func (s *Solver) Suppliers() int { return len(s.sup.suppliers) }
 // Radius returns the bound transport radius.
 func (s *Solver) Radius() int { return s.r }
 
-// saturated is the feasibility verdict shared by the fresh and incremental
-// paths: the max-flow value covers the total demand within slack.
-func (s *Solver) saturated(val float64) bool {
-	return val >= s.total*(1-feasSlackRel)-feasSlackAbs
+// saturates is the feasibility verdict shared by every LP probe — Solver's
+// fresh and incremental paths and WeightedProbe: the max-flow value covers
+// the total demand within slack.
+func saturates(val, total float64) bool {
+	return val >= total*(1-feasSlackRel)-feasSlackAbs
 }
 
 // FeasibleAt reports whether capacity omega suffices for the bound instance:
@@ -417,7 +419,7 @@ func (s *Solver) FeasibleAt(omega float64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return s.saturated(val), nil
+	return saturates(val, s.total), nil
 }
 
 // freshProbe is the canonical oracle computation: Reset to zero flow, set
@@ -459,7 +461,7 @@ func (s *Solver) probe(omega float64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if s.saturated(val) {
+	if saturates(val, s.total) {
 		return true, nil
 	}
 	s.adoptCut()
