@@ -28,7 +28,8 @@ func (r recordingRelay) OnMessage(ctx *Context, from NodeID, msg Msg) {
 // buildRecordedRing makes a 16-node relay ring whose deliveries append to
 // log, with mixed traffic: several concurrent token chains (multi-link ready
 // lists, randomized picks) that die off at different times, leaving a single
-// long chain at the end (singleton ready list — Run's burst path).
+// long chain at the end (one ready link, where the draw is forced but still
+// consumed).
 func buildRecordedRing(t *testing.T, log *[]deliveryRecord) *Network {
 	t.Helper()
 	const ring = 16
@@ -44,10 +45,11 @@ func buildRecordedRing(t *testing.T, log *[]deliveryRecord) *Network {
 	return n
 }
 
-// TestRunMatchesStepByStep pins the burst-delivery invariant: Run's
-// singleton-ready fast path consumes exactly the RNG draws and produces
-// exactly the delivery schedule of stepping one message at a time. The whole
-// golden-trace suite rests on this equivalence.
+// TestRunMatchesStepByStep pins the one-draw-per-delivery contract: Run
+// consumes exactly the RNG draws and produces exactly the delivery schedule
+// of stepping one message at a time, and its step budget stops it after
+// exactly that many deliveries. The whole golden-trace suite rests on this
+// equivalence.
 func TestRunMatchesStepByStep(t *testing.T) {
 	var runLog, stepLog []deliveryRecord
 	nr := buildRecordedRing(t, &runLog)
@@ -79,27 +81,35 @@ func TestRunMatchesStepByStep(t *testing.T) {
 		t.Errorf("delivered %d (Run) vs %d (Step)", nr.Delivered(), ns.Delivered())
 	}
 
-	// The step budget must count burst deliveries too: a budget smaller than
-	// the schedule stops after exactly that many deliveries.
-	var cappedLog []deliveryRecord
-	nc := buildRecordedRing(t, &cappedLog)
-	const budget = 37
-	if err := nc.Run(budget); !errors.Is(err, ErrStepLimit) {
-		t.Fatalf("want ErrStepLimit, got %v", err)
-	}
-	if len(cappedLog) != budget {
-		t.Fatalf("budget %d but %d deliveries happened", budget, len(cappedLog))
-	}
-	for i := range cappedLog {
-		if cappedLog[i] != runLog[i] {
-			t.Fatalf("capped schedule diverges at delivery %d", i)
+	// The step budget counts every delivery, including those made while a
+	// single link is ready (the schedule's long tail): a budget smaller than
+	// the schedule stops after exactly that many deliveries, and a budget
+	// equal to it quiesces — finishing exactly at the budget is success.
+	full := len(runLog)
+	for _, budget := range []int{37, full - 1, full} {
+		var cappedLog []deliveryRecord
+		nc := buildRecordedRing(t, &cappedLog)
+		err := nc.Run(int64(budget))
+		if budget < full && !errors.Is(err, ErrStepLimit) {
+			t.Fatalf("budget %d: want ErrStepLimit, got %v", budget, err)
+		}
+		if budget == full && err != nil {
+			t.Fatalf("budget %d (the full schedule): want nil, got %v", budget, err)
+		}
+		if len(cappedLog) != budget {
+			t.Fatalf("budget %d but %d deliveries happened", budget, len(cappedLog))
+		}
+		for i := range cappedLog {
+			if cappedLog[i] != runLog[i] {
+				t.Fatalf("budget %d: capped schedule diverges at delivery %d", budget, i)
+			}
 		}
 	}
 }
 
 // TestWarmDeliveryAllocationFree is the CI alloc guard for the sim layer:
-// once buffers are sized, a warm reset + full episode (injection, burst
-// drains, randomized picks) performs zero allocations — no boxing, no ring
+// once buffers are sized, a warm reset + full episode (injection, forced
+// and randomized picks) performs zero allocations — no boxing, no ring
 // growth, no ready-list growth.
 func TestWarmDeliveryAllocationFree(t *testing.T) {
 	const ring = 32
@@ -147,7 +157,7 @@ func FuzzLinkQueue(f *testing.F) {
 				next++
 				q.push(m)
 				model = append(model, m)
-			case 2: // pop one, as Step does
+			case 2: // pop one, as a delivery refill does
 				if len(model) > 0 {
 					got, want := q.pop(), model[0]
 					model = model[1:]
@@ -155,12 +165,12 @@ func FuzzLinkQueue(f *testing.F) {
 						t.Fatalf("pop = %+v, want %+v", got, want)
 					}
 				}
-			case 3: // burst-drain the whole run, as Run's singleton path does
+			case 3: // drain the whole run, one pop per delivery
 				for len(model) > 0 {
 					got, want := q.pop(), model[0]
 					model = model[1:]
 					if got != want {
-						t.Fatalf("burst pop = %+v, want %+v", got, want)
+						t.Fatalf("drain pop = %+v, want %+v", got, want)
 					}
 				}
 			}

@@ -113,9 +113,9 @@ func (q *linkQueue) push(m Msg) {
 	q.count++
 }
 
-// grow doubles the ring, unwrapping it to the front of the new buffer. Kept
-// out of push — and out of push's inlining budget — so the hot no-grow path
-// inlines into enqueue.
+// grow doubles the ring, unwrapping it to the front of the new buffer. It
+// runs once per doubling, so it stays out of line; push, which calls it, is
+// not inlined either (cost 89 against the inliner's budget of 80).
 //
 //go:noinline
 func (q *linkQueue) grow() {
@@ -376,7 +376,7 @@ func NewNetwork(seed int64) *Network {
 // wrapper layers the profile showed on the delivery hot path. k is a ready-
 // list length: always ≥ 1 and far below 2³¹, so only the Int31n shape of
 // Intn is needed. intn(1) deterministically returns 0 but still consumes
-// one draw, which is what keeps burst delivery stream-aligned (see Run).
+// one draw, so every delivery costs exactly one draw (see Step).
 func (n *Network) intn(k int) int {
 	fast := n.fastOK // hoisted: draws below branch without re-loading
 	kk := int32(k)
@@ -519,7 +519,7 @@ func (n *Network) queueFor(to, from NodeID) (int32, *linkQueue) {
 }
 
 // addLink appends a link on first contact between a pair — once per pair, so
-// kept out of queueFor to leave the hot scan within the inlining budget.
+// kept out of line, off queueFor's scan.
 //
 //go:noinline
 func (n *Network) addLink(to, from NodeID) (int32, *linkQueue) {
@@ -569,7 +569,7 @@ func (n *Network) InjectMany(ids []NodeID, msg Msg) {
 // listReady reserves one ready-list entry and returns it for the caller to
 // fill in place. Appending a composite literal instead materializes the
 // 40-byte entry on the stack and copies it over — measurable at
-// injection-wave rates — so the two listing sites write their fields
+// injection-wave rates — so the one listing site (put) writes its fields
 // straight into the reserved slot.
 func (n *Network) listReady() *readyHead {
 	if len(n.ready) == cap(n.ready) {
@@ -588,21 +588,24 @@ func (n *Network) injectKnown(to NodeID, msg Msg) {
 		_, q = n.queueFor(to, None)
 		mb.injectQ = q
 	}
-	if !q.listed {
-		// 0→1 transition: the message becomes the link's head, written into
-		// the ready list's hot array; the ring is not touched.
+	n.put(q, msg)
+}
+
+// put enqueues msg on link q. On the link's 0→1 transition the message
+// becomes its head, written straight into a fresh ready-list entry — the
+// dominant send shape at protocol fan-outs, and it never touches the ring
+// buffer; behind an undelivered head it is pushed onto the ring. The entry's
+// dispatch ids come from the link's own address.
+func (n *Network) put(q *linkQueue, msg Msg) {
+	if q.listed {
+		q.push(msg)
+	} else {
 		q.listed = true
 		h := n.listReady()
 		h.msg = msg
 		h.q = q
-		h.to = to
-		h.from = None
-	} else {
-		if int(q.count) == len(q.buf) {
-			q.grow()
-		}
-		q.buf[uint32(q.head+q.count)&uint32(len(q.buf)-1)] = msg
-		q.count++
+		h.to = q.to
+		h.from = q.from
 	}
 	n.sent++
 }
@@ -654,27 +657,7 @@ func (n *Network) enqueue(from, to NodeID, msg Msg) {
 		n.latchBadSend(to)
 		return
 	}
-	if !q.listed {
-		// 0→1 transition: the message becomes the link's head, written
-		// straight into the ready list's hot array — the dominant send
-		// shape at protocol fan-outs, and it never touches the ring buffer.
-		q.listed = true
-		h := n.listReady()
-		h.msg = msg
-		h.q = q
-		h.to = to
-		h.from = from
-	} else {
-		// Overflow behind an undelivered head: push, by hand (the inliner
-		// refuses push because of its grow call, and the call overhead is
-		// measurable at this send rate).
-		if int(q.count) == len(q.buf) {
-			q.grow()
-		}
-		q.buf[uint32(q.head+q.count)&uint32(len(q.buf)-1)] = msg
-		q.count++
-	}
-	n.sent++
+	n.put(q, msg)
 }
 
 // deliver pops the head of ready entry i and hands it to the destination
@@ -688,11 +671,9 @@ func (n *Network) deliver(i int) {
 	m := h.msg
 	to, from := h.to, h.from
 	if q.count > 0 {
-		// Refill: promote the ring's head into the entry's hot slot (pop,
-		// by hand); the entry keeps its position, preserving pick order.
-		h.msg = q.buf[q.head]
-		q.head = (q.head + 1) & int32(len(q.buf)-1)
-		q.count--
+		// Refill: promote the ring's head into the entry's hot slot; the
+		// entry keeps its position, preserving pick order.
+		h.msg = q.pop()
 	} else {
 		q.listed = false
 		last := len(n.ready) - 1
@@ -706,12 +687,12 @@ func (n *Network) deliver(i int) {
 
 // Step delivers one pending message (if any) and reports whether it did.
 //
-// RNG draw discipline: every delivery consumes exactly one seeded draw. When
-// more than one link is ready the draw picks the link; when exactly one is
-// ready the choice is forced, but the draw is still consumed (intn(1) burns
-// one source value), keeping the stream — and therefore every later pick —
-// bit-for-bit aligned with the historical one-draw-per-delivery scheduler.
-// Run's burst path relies on this equivalence.
+// RNG draw discipline: every delivery consumes exactly one seeded draw,
+// bounded by the ready-list length at the instant of the draw. When exactly
+// one link is ready the choice is forced, but the draw is still consumed
+// (intn(1) burns one source value), so the stream — and therefore every
+// later pick — stays bit-for-bit aligned with the one-draw-per-delivery
+// schedule the golden traces pin.
 func (n *Network) Step() (bool, error) {
 	if n.badSend != nil {
 		return false, n.badSend
@@ -725,52 +706,12 @@ func (n *Network) Step() (bool, error) {
 
 // Run delivers messages until the network quiesces (no pending messages) or
 // maxSteps deliveries have happened, in which case ErrStepLimit is returned.
-//
-// Delivery is burst-oriented: while exactly one link is ready the scheduler
-// has no choice to make, so Run drains that run of messages in a tight loop
-// — still consuming one seeded draw per delivery (see Step) so the delivery
-// schedule is bit-for-bit identical to stepping one message at a time,
-// which TestRunMatchesStepByStep pins.
+// Each iteration is exactly one Step — same checks, same draw, same
+// delivery — so Run's schedule is the step-by-step schedule, which
+// TestRunMatchesStepByStep pins. Quiescing at exactly maxSteps deliveries
+// is success, not ErrStepLimit.
 func (n *Network) Run(maxSteps int64) error {
-	for steps := int64(0); ; {
-		if n.badSend != nil {
-			return n.badSend
-		}
-		// Burst: a singleton ready list forces the pick. Deliveries during
-		// the burst may enqueue onto other links (ending the burst) or latch
-		// a bad send (checked per delivery, as Step would).
-		for len(n.ready) == 1 && n.badSend == nil {
-			if steps >= maxSteps {
-				return stepLimitErr(maxSteps)
-			}
-			// The draw intn(1) would consume; keeps streams aligned.
-			if n.fastOK {
-				n.fast.next()
-			} else {
-				n.src.Int63()
-			}
-			// deliver(0), by hand, with the swap-remove specialized to the
-			// singleton ready list (deliver stays a call; at this rate the
-			// call overhead alone is measurable). The hot-array pointer is
-			// re-taken every iteration: OnMessage may list links and grow
-			// the backing array.
-			h := &n.ready[0]
-			q := h.q
-			m := h.msg
-			to, from := h.to, h.from
-			if q.count > 0 {
-				h.msg = q.buf[q.head]
-				q.head = (q.head + 1) & int32(len(q.buf)-1)
-				q.count--
-			} else {
-				q.listed = false
-				n.ready = n.ready[:0]
-			}
-			n.delivered++
-			n.ctx.self = to
-			q.proc.OnMessage(&n.ctx, from, m)
-			steps++
-		}
+	for steps := int64(0); ; steps++ {
 		if n.badSend != nil {
 			return n.badSend
 		}
@@ -780,63 +721,7 @@ func (n *Network) Run(maxSteps int64) error {
 		if steps >= maxSteps {
 			return stepLimitErr(maxSteps)
 		}
-		// deliver(intn(len(ready))), by hand — same body as deliver, with
-		// intn's power-of-two mask path (the common ready-list shapes)
-		// inlined ahead of the general call.
-		var i int
-		if k := int32(len(n.ready)); k&(k-1) == 0 {
-			var x int64
-			if n.fastOK {
-				x = n.fast.next()
-			} else {
-				x = n.src.Int63()
-			}
-			i = int(int32(x>>32) & (k - 1))
-		} else {
-			// intn's rejection + fastmod path, by hand (intn's draw loop
-			// keeps it from inlining, and at one draw per delivery the call
-			// overhead is measurable).
-			if k != n.modK {
-				n.modK = k
-				n.modMaxv = int32((1 << 31) - 1 - (1<<31)%uint32(k))
-				n.modM = ^uint64(0)/uint64(k) + 1
-			}
-			var x int64
-			if n.fastOK {
-				x = n.fast.next()
-			} else {
-				x = n.src.Int63()
-			}
-			v := int32(x >> 32)
-			for v > n.modMaxv {
-				if n.fastOK {
-					x = n.fast.next()
-				} else {
-					x = n.src.Int63()
-				}
-				v = int32(x >> 32)
-			}
-			hi, _ := bits.Mul64(n.modM*uint64(uint32(v)), uint64(k))
-			i = int(hi)
-		}
-		h := &n.ready[i]
-		q := h.q
-		m := h.msg
-		to, from := h.to, h.from
-		if q.count > 0 {
-			h.msg = q.buf[q.head]
-			q.head = (q.head + 1) & int32(len(q.buf)-1)
-			q.count--
-		} else {
-			q.listed = false
-			last := len(n.ready) - 1
-			n.ready[i] = n.ready[last]
-			n.ready = n.ready[:last]
-		}
-		n.delivered++
-		n.ctx.self = to
-		q.proc.OnMessage(&n.ctx, from, m)
-		steps++
+		n.deliver(n.intn(len(n.ready)))
 	}
 }
 
